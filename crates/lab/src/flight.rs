@@ -35,10 +35,11 @@
 //! narratives from it — the flight recorder's answer to "why was task N
 //! late" without opening a trace UI.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ctlm_sim::ParallelPerf;
 use ctlm_telemetry::{SpanRecord, SCHEMA_VERSION};
+use serde::{JsonWriter, Serialize};
 use serde_json::Value;
 
 use crate::observe::Observations;
@@ -51,112 +52,103 @@ const CTRL_SUFFIX: &str = " control";
 /// Process-name prefix of the host-plane `_perf` track group.
 const PERF_PREFIX: &str = "_perf ";
 
-fn num(n: u64) -> Value {
-    Value::Num(n as f64)
+fn put_u64(w: &mut JsonWriter, key: &str, n: u64) {
+    w.key(key);
+    w.u64(n);
 }
 
-fn st(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+fn put_str(w: &mut JsonWriter, key: &str, s: &str) {
+    w.key(key);
+    w.str(s);
 }
 
 /// A `"M"` metadata event naming a process or (with `tid`) a thread.
-fn meta_event(pid: u64, tid: Option<u64>, which: &str, name: &str) -> Value {
-    let mut fields = vec![("name", st(which)), ("ph", st("M")), ("pid", num(pid))];
+fn write_meta(w: &mut JsonWriter, pid: u64, tid: Option<u64>, which: &str, name: &str) {
+    w.begin_object();
+    put_str(w, "name", which);
+    put_str(w, "ph", "M");
+    put_u64(w, "pid", pid);
     if let Some(t) = tid {
-        fields.push(("tid", num(t)));
+        put_u64(w, "tid", t);
     }
-    fields.push(("args", obj(vec![("name", st(name))])));
-    obj(fields)
+    w.key("args");
+    w.begin_object();
+    put_str(w, "name", name);
+    w.end_object();
+    w.end_object();
 }
 
 /// The kind-specific payload words under their named keys — the half of
 /// the decision record that is not a static tag.
-fn payload_args(r: &SpanRecord) -> Vec<(&'static str, Value)> {
+fn payload_args(r: &SpanRecord) -> [Option<(&'static str, u64)>; 2] {
+    let nonzero = |key, n| (n != 0).then_some((key, n));
     match r.kind {
-        "queued" | "running" => {
-            let mut out = Vec::new();
-            if r.a != 0 || r.outcome == "placed" {
-                out.push(("machine", num(r.a)));
-            }
+        "queued" | "running" => [
+            (r.a != 0 || r.outcome == "placed").then_some(("machine", r.a)),
             // A preemption close overwrites the candidate word with the
             // task that evicted this one.
             if r.outcome == "preempted" {
-                out.push(("preemptor", num(r.b)));
-            } else if r.b != 0 {
-                out.push(("candidates", num(r.b)));
-            }
-            out
-        }
-        "retry_wait" => vec![("delay_us", num(r.a)), ("crashed_machine", num(r.b))],
-        "spill_transit" => vec![("target_cell", num(r.a))],
-        "dead_letter" => vec![("machine", num(r.a))],
-        "scale_up" => vec![("ordered", num(r.a)), ("crash_replacements", num(r.b))],
-        "scale_down" => vec![("released", num(r.a))],
-        _ => {
-            let mut out = Vec::new();
-            if r.a != 0 {
-                out.push(("a", num(r.a)));
-            }
-            if r.b != 0 {
-                out.push(("b", num(r.b)));
-            }
-            out
-        }
+                Some(("preemptor", r.b))
+            } else {
+                nonzero("candidates", r.b)
+            },
+        ],
+        "retry_wait" => [Some(("delay_us", r.a)), Some(("crashed_machine", r.b))],
+        "spill_transit" => [Some(("target_cell", r.a)), None],
+        "dead_letter" => [Some(("machine", r.a)), None],
+        "scale_up" => [Some(("ordered", r.a)), Some(("crash_replacements", r.b))],
+        "scale_down" => [Some(("released", r.a)), None],
+        _ => [nonzero("a", r.a), nonzero("b", r.b)],
     }
 }
 
 /// One span as a complete (`"X"`) trace event.
-fn span_event(r: &SpanRecord, pid: u64, tid: u64) -> Value {
-    let mut args = vec![("subject", num(r.subject)), ("cause", st(r.cause))];
-    if !r.outcome.is_empty() {
-        args.push(("outcome", st(r.outcome)));
-    }
-    if !r.plan.is_empty() {
-        args.push(("plan", st(r.plan)));
-    }
-    if !r.detail.is_empty() {
-        args.push(("detail", st(r.detail)));
+fn write_span(w: &mut JsonWriter, r: &SpanRecord, pid: u64, tid: u64) {
+    w.begin_object();
+    put_str(w, "name", r.kind);
+    put_str(w, "cat", r.group);
+    put_str(w, "ph", "X");
+    put_u64(w, "pid", pid);
+    put_u64(w, "tid", tid);
+    put_u64(w, "ts", r.start);
+    put_u64(w, "dur", r.end - r.start);
+    w.key("args");
+    w.begin_object();
+    put_u64(w, "subject", r.subject);
+    put_str(w, "cause", r.cause);
+    for (key, tag) in [
+        ("outcome", r.outcome),
+        ("plan", r.plan),
+        ("detail", r.detail),
+    ] {
+        if !tag.is_empty() {
+            put_str(w, key, tag);
+        }
     }
     if r.attempts > 0 {
-        args.push(("attempts", num(r.attempts)));
+        put_u64(w, "attempts", r.attempts);
     }
-    args.extend(payload_args(r));
-    obj(vec![
-        ("name", st(r.kind)),
-        ("cat", st(r.group)),
-        ("ph", st("X")),
-        ("pid", num(pid)),
-        ("tid", num(tid)),
-        ("ts", num(r.start)),
-        ("dur", num(r.end - r.start)),
-        ("args", obj(args)),
-    ])
+    for (key, n) in payload_args(r).into_iter().flatten() {
+        put_u64(w, key, n);
+    }
+    w.end_object();
+    w.end_object();
 }
 
 /// A flow step (`"s"` start or `"f"` finish-with-enclosing-binding).
-fn flow_event(name: &str, ph: &str, id: u64, pid: u64, tid: u64, ts: u64) -> Value {
-    let mut fields = vec![
-        ("name", st(name)),
-        ("cat", st("causal")),
-        ("ph", st(ph)),
-        ("id", num(id)),
-        ("pid", num(pid)),
-        ("tid", num(tid)),
-        ("ts", num(ts)),
-    ];
+fn write_flow(w: &mut JsonWriter, name: &str, ph: &str, id: u64, pid: u64, tid: u64, ts: u64) {
+    w.begin_object();
+    put_str(w, "name", name);
+    put_str(w, "cat", "causal");
+    put_str(w, "ph", ph);
+    put_u64(w, "id", id);
+    put_u64(w, "pid", pid);
+    put_u64(w, "tid", tid);
+    put_u64(w, "ts", ts);
     if ph == "f" {
-        fields.push(("bp", st("e")));
+        put_str(w, "bp", "e");
     }
-    obj(fields)
+    w.end_object();
 }
 
 /// Thread id of a record inside its cell's process pair. Task spans get
@@ -183,167 +175,176 @@ fn queued_index(records: &[&SpanRecord]) -> HashMap<u64, Vec<SpanRecord>> {
     by_subject
 }
 
-/// Renders the accumulated span logs (and, with `include_host`, the
-/// per-round shard profile) as a Chrome/Perfetto trace-event document.
-pub fn trace_document(obs: &Observations, include_host: bool) -> Value {
-    let tracks: Vec<(&str, Vec<&SpanRecord>)> = obs
-        .spans
-        .iter()
-        .map(|(key, log)| (key.as_str(), log.records().collect()))
-        .collect();
-    // Cell index within each scheduler follows track appearance order
-    // (record_run folds cells in spec order) — the same numbering the
-    // spill router's `target_cell` payload uses.
-    let mut sched_cells: Vec<(&str, Vec<usize>)> = Vec::new();
-    for (i, (key, _)) in tracks.iter().enumerate() {
-        let sched = key.split('.').next().unwrap_or(key);
-        match sched_cells.iter_mut().find(|(s, _)| *s == sched) {
-            Some((_, cells)) => cells.push(i),
-            None => sched_cells.push((sched, vec![i])),
-        }
-    }
-    let queued: Vec<HashMap<u64, Vec<SpanRecord>>> =
-        tracks.iter().map(|(_, rs)| queued_index(rs)).collect();
-    let track_of = |from_track: usize, cell_idx: usize| -> Option<usize> {
-        sched_cells
-            .iter()
-            .find(|(_, cells)| cells.contains(&from_track))
-            .and_then(|(_, cells)| cells.get(cell_idx).copied())
-    };
+/// The accumulated span logs (and, with `include_host`, the per-round
+/// shard profile) as a Chrome/Perfetto trace-event document. It borrows
+/// the observations, and rendering it (`to_pretty_json`) streams the
+/// events straight to JSON text without building an event tree.
+pub fn trace_document(obs: &Observations, include_host: bool) -> TraceDocument<'_> {
+    TraceDocument { obs, include_host }
+}
 
-    let mut events = Vec::new();
-    for (i, (key, records)) in tracks.iter().enumerate() {
-        let (pid_tasks, pid_ctrl) = (2 * i as u64 + 1, 2 * i as u64 + 2);
-        events.push(meta_event(
-            pid_tasks,
-            None,
-            "process_name",
-            &format!("{key}{TASKS_SUFFIX}"),
-        ));
-        events.push(meta_event(
-            pid_ctrl,
-            None,
-            "process_name",
-            &format!("{key}{CTRL_SUFFIX}"),
-        ));
-        events.push(meta_event(pid_ctrl, Some(0), "thread_name", "decisions"));
-        let mut named_machines: Vec<u64> = Vec::new();
-        for r in records {
-            let (pid, tid) = match r.group {
-                "task" => (pid_tasks, record_tid(r)),
-                _ => (pid_ctrl, record_tid(r)),
-            };
-            if r.group == "machine" && !named_machines.contains(&r.subject) {
-                named_machines.push(r.subject);
-                events.push(meta_event(
-                    pid_ctrl,
-                    Some(tid),
-                    "thread_name",
-                    &format!("machine {}", r.subject),
-                ));
+/// See [`trace_document`].
+#[derive(Debug)]
+pub struct TraceDocument<'a> {
+    obs: &'a Observations,
+    include_host: bool,
+}
+
+impl Serialize for TraceDocument<'_> {
+    /// The document read back from its own compact rendering, so the
+    /// tree and the text can never disagree.
+    fn to_value(&self) -> Value {
+        let text = serde_json::to_string(self).expect("trace events carry no floats");
+        serde_json::parse_value(&text).expect("the writer emits valid JSON")
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), serde::Error> {
+        w.begin_object();
+        put_u64(w, "schema_version", SCHEMA_VERSION);
+        put_str(w, "displayTimeUnit", "ms");
+        w.key("traceEvents");
+        w.begin_array();
+        self.write_cell_tracks(w);
+        if self.include_host {
+            let base = 2 * self.obs.spans.len() as u64 + 1;
+            for (j, (sched, perf)) in self.obs.host_rounds.iter().enumerate() {
+                write_host_track(w, base + j as u64, sched, perf);
             }
-            events.push(span_event(r, pid, tid));
-            // Flow arrows. Spill: the transit span in the home cell
-            // connects to the `queued` span its re-admission opened —
-            // in the sibling for a routed hop, at home for a bounce.
-            if r.kind == "spill_transit" && matches!(r.outcome, "routed" | "routed_home") {
-                let target_track = if r.outcome == "routed" {
-                    track_of(i, r.a as usize)
-                } else {
-                    Some(i)
+        }
+        w.end_array();
+        w.end_object();
+        Ok(())
+    }
+}
+
+impl TraceDocument<'_> {
+    /// The sim-plane events: per cell track, its process and thread
+    /// names, every span, and the spill/retry flow arrows.
+    fn write_cell_tracks(&self, w: &mut JsonWriter) {
+        let tracks: Vec<(&str, Vec<&SpanRecord>)> = self
+            .obs
+            .spans
+            .iter()
+            .map(|(key, log)| (key.as_str(), log.records().collect()))
+            .collect();
+        // Cell index within each scheduler follows track appearance order
+        // (record_run folds cells in spec order) — the same numbering the
+        // spill router's `target_cell` payload uses.
+        let mut sched_cells: Vec<(&str, Vec<usize>)> = Vec::new();
+        for (i, (key, _)) in tracks.iter().enumerate() {
+            let sched = key.split('.').next().unwrap_or(key);
+            match sched_cells.iter_mut().find(|(s, _)| *s == sched) {
+                Some((_, cells)) => cells.push(i),
+                None => sched_cells.push((sched, vec![i])),
+            }
+        }
+        let queued: Vec<HashMap<u64, Vec<SpanRecord>>> =
+            tracks.iter().map(|(_, rs)| queued_index(rs)).collect();
+        let track_of = |from_track: usize, cell_idx: usize| -> Option<usize> {
+            sched_cells
+                .iter()
+                .find(|(_, cells)| cells.contains(&from_track))
+                .and_then(|(_, cells)| cells.get(cell_idx).copied())
+        };
+
+        for (i, (key, records)) in tracks.iter().enumerate() {
+            let (pid_tasks, pid_ctrl) = (2 * i as u64 + 1, 2 * i as u64 + 2);
+            let tasks_name = format!("{key}{TASKS_SUFFIX}");
+            write_meta(w, pid_tasks, None, "process_name", &tasks_name);
+            let ctrl_name = format!("{key}{CTRL_SUFFIX}");
+            write_meta(w, pid_ctrl, None, "process_name", &ctrl_name);
+            write_meta(w, pid_ctrl, Some(0), "thread_name", "decisions");
+            let mut named_machines: HashSet<u64> = HashSet::new();
+            for r in records {
+                let (pid, tid) = match r.group {
+                    "task" => (pid_tasks, record_tid(r)),
+                    _ => (pid_ctrl, record_tid(r)),
                 };
-                if let Some(t) = target_track {
-                    // The re-admission is the first queued span at or
-                    // after the hop resolved (the original arrival's
-                    // queued span, if any, predates the transit).
-                    let landed = queued[t]
-                        .get(&r.subject)
-                        .and_then(|spans| spans.iter().find(|q| q.start >= r.end));
+                if r.group == "machine" && named_machines.insert(r.subject) {
+                    let name = format!("machine {}", r.subject);
+                    write_meta(w, pid_ctrl, Some(tid), "thread_name", &name);
+                }
+                write_span(w, r, pid, tid);
+                // Flow arrows. Spill: the transit span in the home cell
+                // connects to the `queued` span its re-admission opened —
+                // in the sibling for a routed hop, at home for a bounce.
+                if r.kind == "spill_transit" && matches!(r.outcome, "routed" | "routed_home") {
+                    let target_track = if r.outcome == "routed" {
+                        track_of(i, r.a as usize)
+                    } else {
+                        Some(i)
+                    };
+                    if let Some(t) = target_track {
+                        // The re-admission is the first queued span at or
+                        // after the hop resolved (the original arrival's
+                        // queued span, if any, predates the transit).
+                        let landed = queued[t]
+                            .get(&r.subject)
+                            .and_then(|spans| spans.iter().find(|q| q.start >= r.end));
+                        if let Some(q) = landed {
+                            let flow = r.subject * 2;
+                            write_flow(w, "spill", "s", flow, pid, tid, r.end);
+                            let target_pid = 2 * t as u64 + 1;
+                            write_flow(w, "spill", "f", flow, target_pid, q.subject, q.start);
+                        }
+                    }
+                }
+                // Retry: backoff elapsing re-queues on the same track.
+                if r.kind == "retry_wait" && r.outcome == "backoff_elapsed" {
+                    let landed = queued[i].get(&r.subject).and_then(|spans| {
+                        spans
+                            .iter()
+                            .find(|q| q.cause == "retry" && q.start >= r.end)
+                    });
                     if let Some(q) = landed {
-                        let flow = r.subject * 2;
-                        events.push(flow_event("spill", "s", flow, pid, tid, r.end));
-                        events.push(flow_event(
-                            "spill",
-                            "f",
-                            flow,
-                            2 * t as u64 + 1,
-                            q.subject,
-                            q.start,
-                        ));
+                        let flow = r.subject * 2 + 1;
+                        write_flow(w, "retry", "s", flow, pid, tid, r.end);
+                        write_flow(w, "retry", "f", flow, pid, q.subject, q.start);
                     }
                 }
             }
-            // Retry: backoff elapsing re-queues on the same track.
-            if r.kind == "retry_wait" && r.outcome == "backoff_elapsed" {
-                let landed = queued[i].get(&r.subject).and_then(|spans| {
-                    spans
-                        .iter()
-                        .find(|q| q.cause == "retry" && q.start >= r.end)
-                });
-                if let Some(q) = landed {
-                    let flow = r.subject * 2 + 1;
-                    events.push(flow_event("retry", "s", flow, pid, tid, r.end));
-                    events.push(flow_event("retry", "f", flow, pid, q.subject, q.start));
-                }
-            }
         }
     }
-
-    if include_host {
-        let base = 2 * tracks.len() as u64 + 1;
-        for (j, (sched, perf)) in obs.host_rounds.iter().enumerate() {
-            events.extend(host_track(base + j as u64, sched, perf));
-        }
-    }
-
-    Value::Object(vec![
-        ("schema_version".to_string(), num(SCHEMA_VERSION)),
-        ("displayTimeUnit".to_string(), st("ms")),
-        ("traceEvents".to_string(), Value::Array(events)),
-    ])
 }
 
 /// The host-plane `_perf` process for one scheduler run: per shard, one
 /// slice per epoch round, anchored at the round's sim-time bound with
 /// the shard's wall-clock `run_before` time as duration.
-fn host_track(pid: u64, sched: &str, perf: &ParallelPerf) -> Vec<Value> {
+fn write_host_track(w: &mut JsonWriter, pid: u64, sched: &str, perf: &ParallelPerf) {
     let shards = perf.shard_run_ns.len();
-    let mut events = vec![meta_event(
+    write_meta(
+        w,
         pid,
         None,
         "process_name",
         &format!("{PERF_PREFIX}{sched}"),
-    )];
+    );
     for s in 0..shards {
-        events.push(meta_event(
-            pid,
-            Some(s as u64),
-            "thread_name",
-            &format!("shard {s}"),
-        ));
+        let name = format!("shard {s}");
+        write_meta(w, pid, Some(s as u64), "thread_name", &name);
     }
     if perf.round_shard_run_ns.len() != perf.round_bounds.len() * shards {
-        return events; // merged/partial profile: totals only, no rounds
+        return; // merged/partial profile: totals only, no rounds
     }
     for (r, &bound) in perf.round_bounds.iter().enumerate() {
         for s in 0..shards {
             let run_ns = perf.round_shard_run_ns[r * shards + s];
-            events.push(obj(vec![
-                ("name", st("round")),
-                ("cat", st("host")),
-                ("ph", st("X")),
-                ("pid", num(pid)),
-                ("tid", num(s as u64)),
-                ("ts", num(bound)),
-                ("dur", num(run_ns / 1_000)),
-                (
-                    "args",
-                    obj(vec![("round", num(r as u64)), ("run_ns", num(run_ns))]),
-                ),
-            ]));
+            w.begin_object();
+            put_str(w, "name", "round");
+            put_str(w, "cat", "host");
+            put_str(w, "ph", "X");
+            put_u64(w, "pid", pid);
+            put_u64(w, "tid", s as u64);
+            put_u64(w, "ts", bound);
+            put_u64(w, "dur", run_ns / 1_000);
+            w.key("args");
+            w.begin_object();
+            put_u64(w, "round", r as u64);
+            put_u64(w, "run_ns", run_ns);
+            w.end_object();
+            w.end_object();
         }
     }
-    events
 }
 
 /// One span read back from a trace-event document.
@@ -611,6 +612,11 @@ mod tests {
     use super::*;
     use ctlm_telemetry::SpanLog;
 
+    /// The document as `ctlm-lab --spans` writes it, parsed back.
+    fn written(doc: TraceDocument<'_>) -> Value {
+        serde_json::from_str(&crate::report::to_pretty_json(&doc)).expect("valid JSON")
+    }
+
     fn obs_with(key: &str, log: SpanLog) -> Observations {
         let mut obs = Observations::default();
         obs.spans.push((key.to_string(), log));
@@ -651,7 +657,9 @@ mod tests {
         log.open_machine(3, "machine_down", 900, "crash", "");
         log.close_machine(3, 1600, "restored");
         log.close_all(2_000);
-        let doc = trace_document(&obs_with("main_only.hot", log), false);
+        let obs = obs_with("main_only.hot", log);
+        let doc = written(trace_document(&obs, false));
+        assert_eq!(doc, trace_document(&obs, false).to_value());
         assert_eq!(*doc.get_field("schema_version"), SCHEMA_VERSION);
         let rec = parse_trace(&doc).unwrap();
         assert_eq!(rec.schema_version, SCHEMA_VERSION);
@@ -696,7 +704,7 @@ mod tests {
         log.close_task(9, 600, "backoff_elapsed");
         log.open_task(9, "queued", 600, "retry");
         log.close_all(1_000);
-        let doc = trace_document(&obs_with("oracle.cold", log), false);
+        let doc = written(trace_document(&obs_with("oracle.cold", log), false));
         let Value::Array(events) = doc.get_field("traceEvents") else {
             panic!("no events");
         };
@@ -724,7 +732,7 @@ mod tests {
         let mut obs = Observations::default();
         obs.spans.push(("main_only.hot".to_string(), home));
         obs.spans.push(("main_only.cold".to_string(), sib));
-        let doc = trace_document(&obs, false);
+        let doc = written(trace_document(&obs, false));
         let Value::Array(events) = doc.get_field("traceEvents") else {
             panic!("no events");
         };
@@ -754,7 +762,7 @@ mod tests {
             log.open_task_full(task, "running", 100 + wait, "placed", "p", "", 0, 1, 1);
             log.close_task(task, 100 + wait + 10, "finished");
         }
-        let doc = trace_document(&obs_with("main_only.hot", log), false);
+        let doc = written(trace_document(&obs_with("main_only.hot", log), false));
         let rec = parse_trace(&doc).unwrap();
         let text = explain_worst(&rec, 2);
         let pos2 = text.find("task 2").expect("worst task listed");
@@ -778,8 +786,8 @@ mod tests {
                 round_shard_run_ns: vec![40_000, 60_000, 50_000, 50_000],
             },
         ));
-        let without = trace_document(&obs, false);
-        let with = trace_document(&obs, true);
+        let without = written(trace_document(&obs, false));
+        let with = written(trace_document(&obs, true));
         let count = |doc: &Value| match doc.get_field("traceEvents") {
             Value::Array(evs) => evs.iter().filter(|e| e.get_field("cat") == "host").count(),
             _ => 0,

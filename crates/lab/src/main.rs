@@ -52,6 +52,11 @@
 //! relative `--tolerance` (default 0, i.e. any increase fails; a zero
 //! baseline regresses on any increase) — so CI can diff two runs
 //! directly.
+//!
+//! Bad input never panics: an unreadable or invalid spec, a run that
+//! fails (unknown scheduler, bad knob path, …), an output path that
+//! cannot be written, or a file that is not what `--diff`/`explain`
+//! expects exits with status 2 and one `ctlm-lab: …` line on stderr.
 
 use ctlm_bench::ParsedArgs;
 use ctlm_lab::memtrack::{self, TrackingAlloc};
@@ -61,6 +66,7 @@ use ctlm_lab::run::ArrivalMode;
 use ctlm_lab::ExperimentSpec;
 use ctlm_telemetry::{HostFingerprint, Metrics, PerfReport};
 use serde::Deserialize;
+use std::io::Write as _;
 
 /// Counting allocator so `_meta.alloc_peak_bytes` reflects the run (the
 /// library never installs it; only this binary pays the two atomics).
@@ -95,7 +101,7 @@ fn main() {
             .option("--tolerance")
             .map(|t| {
                 t.parse()
-                    .unwrap_or_else(|_| panic!("--tolerance needs a number"))
+                    .unwrap_or_else(|_| fail("--tolerance needs a number"))
             })
             .unwrap_or(0.0);
         let (va, vb) = (load_json(a), load_json(b));
@@ -126,13 +132,13 @@ fn main() {
         eprintln!("       ctlm-lab --diff <a.json> <b.json> [--tolerance X]");
         std::process::exit(2);
     };
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read spec {path:?}: {e}"));
-    let mut spec = ExperimentSpec::from_json(&text).unwrap_or_else(|e| panic!("{e}"));
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(format!("cannot read spec {path:?}: {e}")));
+    let mut spec = ExperimentSpec::from_json(&text).unwrap_or_else(|e| fail(e.0));
     if let Some(seed) = args.option("--seed") {
         spec.sim.seed = seed
             .parse()
-            .unwrap_or_else(|_| panic!("--seed needs a number"));
+            .unwrap_or_else(|_| fail("--seed needs a number"));
         // An explicit sweep seed list would shadow the override; clear
         // it so every grid point runs under the requested seed.
         if let Some(sweep) = spec.sweep.as_mut() {
@@ -142,7 +148,7 @@ fn main() {
     if let Some(threads) = args.option("--threads") {
         spec.execution.threads = threads
             .parse()
-            .unwrap_or_else(|_| panic!("--threads needs a number"));
+            .unwrap_or_else(|_| fail("--threads needs a number"));
     }
     let metrics_out = args.option("--metrics");
     if metrics_out.is_some() {
@@ -165,8 +171,7 @@ fn main() {
     } else {
         ArrivalMode::Streaming
     };
-    let (mut report, obs) =
-        ctlm_lab::run_spec_observed(&spec, mode).unwrap_or_else(|e| panic!("{e}"));
+    let (mut report, obs) = ctlm_lab::run_spec_observed(&spec, mode).unwrap_or_else(|e| fail(e.0));
     if !args.flag("--no-meta") {
         let host = HostFingerprint::detect();
         let perf = obs.perf.clone().map(|mut p| {
@@ -181,22 +186,17 @@ fn main() {
         });
     }
     if let Some(path) = metrics_out {
-        let json = to_pretty_json(&metrics_document(&obs));
-        std::fs::write(path, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+        write_document(path, &to_pretty_json(&metrics_document(&obs)));
         eprintln!("metrics written to {path}");
     }
     if let Some(path) = spans_out {
         let doc = ctlm_lab::flight::trace_document(&obs, !args.flag("--no-meta"));
-        let json = to_pretty_json(&doc);
-        std::fs::write(path, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("cannot write {path:?}: {e}"));
+        write_document(path, &to_pretty_json(&doc));
         eprintln!("spans written to {path}");
     }
     let json = to_pretty_json(&report);
     if let Some(out) = args.option("--out") {
-        std::fs::write(out, format!("{json}\n"))
-            .unwrap_or_else(|e| panic!("cannot write {out:?}: {e}"));
+        write_document(out, &json);
         eprintln!("report written to {out}");
     }
     if args.flag("--json") {
@@ -218,7 +218,8 @@ fn run_explain(args: &ParsedArgs) {
         std::process::exit(2);
     };
     let doc = load_json(path);
-    let rec = ctlm_lab::flight::parse_trace(&doc).unwrap_or_else(|e| panic!("{e}"));
+    let rec =
+        ctlm_lab::flight::parse_trace(&doc).unwrap_or_else(|e| fail(format!("{path:?}: {}", e.0)));
     if rec.schema_version != ctlm_telemetry::SCHEMA_VERSION as f64 as u64 {
         eprintln!(
             "warning: spans file has schema_version {}, this binary writes {}",
@@ -229,7 +230,7 @@ fn run_explain(args: &ParsedArgs) {
     let parse_id = |name: &str| -> Option<u64> {
         args.option(name).map(|v| {
             v.parse()
-                .unwrap_or_else(|_| panic!("{name} needs a number"))
+                .unwrap_or_else(|_| fail(format!("{name} needs a number")))
         })
     };
     let mut printed = false;
@@ -270,15 +271,33 @@ fn fmt_ms(v: Option<f64>) -> String {
     }
 }
 
+/// Reports a usage or input error as one `ctlm-lab: …` line on stderr
+/// and exits with status 2 (1 is reserved for `--diff` regressions).
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("ctlm-lab: {msg}");
+    std::process::exit(2)
+}
+
+/// Writes a rendered document plus a trailing newline to `path`.
+fn write_document(path: &str, json: &str) {
+    let written = std::fs::File::create(path).and_then(|mut f| {
+        f.write_all(json.as_bytes())?;
+        f.write_all(b"\n")
+    });
+    if let Err(e) = written {
+        fail(format!("cannot write {path:?}: {e}"));
+    }
+}
+
 fn load_json(path: &str) -> serde_json::Value {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read report {path:?}: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {path:?}: {e}"))
+        .unwrap_or_else(|e| fail(format!("cannot read {path:?}: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| fail(format!("cannot parse {path:?}: {e}")))
 }
 
 fn parse_report(path: &str, value: &serde_json::Value) -> LabReport {
     Deserialize::from_value(value)
-        .unwrap_or_else(|e| panic!("{path:?} is not a ctlm-lab report: {e}"))
+        .unwrap_or_else(|e| fail(format!("{path:?} is not a ctlm-lab report: {e}")))
 }
 
 /// A metrics file (written by `--metrics`) is an object with a

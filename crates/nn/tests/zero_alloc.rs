@@ -10,7 +10,7 @@
 //! see `ctlm_nn::workspace`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use ctlm_nn::{Adam, CrossEntropyLoss, Net, Optimizer, Workspace};
 use ctlm_tensor::init::seeded_rng;
@@ -18,11 +18,27 @@ use ctlm_tensor::{Csr, CsrBuilder};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread because libtest runs
+    /// a file's tests on parallel threads, and a process-wide count
+    /// would see the other tests' allocations. Const-initialised with no
+    /// destructor, so touching it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -89,14 +105,14 @@ fn steady_state_training_step_does_not_allocate() {
         step(&mut xb, &mut yb, &mut net, &mut ws, &mut opt, chunk);
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut total_loss = 0.0f32;
     for _ in 0..5 {
         for chunk in order.chunks(n) {
             total_loss += step(&mut xb, &mut yb, &mut net, &mut ws, &mut opt, chunk);
         }
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert!(total_loss.is_finite());
     assert_eq!(
         after - before,

@@ -2,17 +2,23 @@
 //!
 //! The build container has no crates.io access, so this shim provides a
 //! value-model serde: `Serialize` lowers a type to a [`Value`] tree and
-//! `Deserialize` rebuilds it. The companion `serde_json` shim renders and
-//! parses `Value` as JSON, and the `serde_derive` shim derives both
-//! traits for plain structs and enums. The wire format is self-consistent
-//! within this workspace (maps serialize as arrays of `[key, value]`
-//! pairs; enums are externally tagged like real serde).
+//! `Deserialize` rebuilds it. Rendering goes through one streaming
+//! [`JsonWriter`]: `Serialize::write_json` defaults to writing the value
+//! tree, and large documents override it to stream straight to text
+//! without building one. The companion `serde_json` shim renders through
+//! that writer and parses JSON back into `Value`, and the `serde_derive`
+//! shim derives both traits for plain structs and enums. The wire format
+//! is self-consistent within this workspace (maps serialize as arrays of
+//! `[key, value]` pairs; enums are externally tagged like real serde).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::time::Duration;
 
 pub use serde_derive::{Deserialize, Serialize};
+pub use writer::JsonWriter;
+
+mod writer;
 
 /// The serialized value tree (also re-exported as `serde_json::Value`).
 #[derive(Clone, Debug, PartialEq)]
@@ -148,10 +154,16 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Lowers a type to a [`Value`] tree.
+/// Lowers a type to a [`Value`] tree, or streams it as JSON.
 pub trait Serialize {
     /// The value-tree form of `self`.
     fn to_value(&self) -> Value;
+
+    /// Writes `self` as JSON. The default renders [`Self::to_value`];
+    /// types whose tree is large override it to write directly.
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), Error> {
+        w.value(&self.to_value())
+    }
 }
 
 /// Rebuilds a type from a [`Value`] tree.
@@ -163,6 +175,10 @@ pub trait Deserialize: Sized {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), Error> {
+        (**self).write_json(w)
     }
 }
 
@@ -266,6 +282,10 @@ impl Deserialize for String {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter) -> Result<(), Error> {
+        w.value(self)
     }
 }
 

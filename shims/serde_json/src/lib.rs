@@ -1,5 +1,6 @@
-//! Offline stand-in for `serde_json`: renders and parses the serde
-//! shim's [`Value`] tree as JSON text.
+//! Offline stand-in for `serde_json`: renders any `Serialize` type as
+//! JSON text through the serde shim's streaming [`JsonWriter`], and
+//! parses JSON text into a [`Value`] tree.
 //!
 //! Numbers are carried as `f64` (every integer the workspace serializes —
 //! ids, microsecond timestamps, tensor shapes — is far below 2^53, and
@@ -7,15 +8,11 @@
 //! emitted without a fractional part so the output looks like ordinary
 //! JSON.
 
-use std::fmt::Write as _;
-
-pub use serde::{Error, Value};
+pub use serde::{Error, JsonWriter, Value};
 
 /// Serializes a value to a JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
-    Ok(out)
+    render(value, JsonWriter::compact())
 }
 
 /// Serializes a value to JSON bytes.
@@ -27,45 +24,12 @@ pub fn to_vec<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error>
 /// serde_json's `to_string_pretty`; like the real one, no trailing
 /// newline) — for documents meant to be read, like `ctlm-lab` reports.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value_pretty(&value.to_value(), 0, &mut out)?;
-    Ok(out)
+    render(value, JsonWriter::pretty())
 }
 
-fn write_value_pretty(v: &Value, depth: usize, out: &mut String) -> Result<(), Error> {
-    let pad = "  ".repeat(depth + 1);
-    match v {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
-                write_value_pretty(item, depth + 1, out)?;
-                if i + 1 < items.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&"  ".repeat(depth));
-            out.push(']');
-        }
-        Value::Object(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                out.push_str(&pad);
-                write_string(k, out);
-                out.push_str(": ");
-                write_value_pretty(val, depth + 1, out)?;
-                if i + 1 < pairs.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            out.push_str(&"  ".repeat(depth));
-            out.push('}');
-        }
-        leaf => write_value(leaf, out)?,
-    }
-    Ok(())
+fn render<T: serde::Serialize + ?Sized>(value: &T, mut w: JsonWriter) -> Result<String, Error> {
+    value.write_json(&mut w)?;
+    Ok(w.into_string())
 }
 
 /// Deserializes a value from a JSON string.
@@ -97,69 +61,6 @@ macro_rules! json {
 /// Implementation detail of [`json!`].
 pub fn __to_value<T: serde::Serialize + ?Sized>(v: &T) -> Value {
     v.to_value()
-}
-
-fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => {
-            // JSON has no NaN/Infinity; erroring here (like real
-            // serde_json) beats writing a document no parser accepts.
-            if !n.is_finite() {
-                return Err(Error::msg(format!(
-                    "cannot serialize non-finite number {n}"
-                )));
-            }
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                write!(out, "{}", *n as i64).expect("string write");
-            } else {
-                write!(out, "{n}").expect("string write");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(item, out)?;
-            }
-            out.push(']');
-        }
-        Value::Object(pairs) => {
-            out.push('{');
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(val, out)?;
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("string write");
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -424,6 +325,52 @@ mod tests {
         );
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(v, back);
+
+        // Nested, empty and mixed containers, pretty and compact, pinned
+        // byte for byte: every checked-in export digest depends on them.
+        let v: Value = from_str(
+            r#"{"a": [1, 2], "b": {"c": null}, "empty": [], "eo": {},
+                "mixed": [[], {}, [[]], {"x": [true, false]}, "s", -3, 0.5, -0.0, 1e20, 0.1],
+                "nested": [[1, [2, {"d": []}]]]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            to_string(&v).unwrap(),
+            "{\"a\":[1,2],\"b\":{\"c\":null},\"empty\":[],\"eo\":{},\"mixed\":[[],{},[[]],\
+             {\"x\":[true,false]},\"s\",-3,0.5,0,100000000000000000000,0.1],\
+             \"nested\":[[1,[2,{\"d\":[]}]]]}"
+        );
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\": [\n    1,\n    2\n  ],\n  \"b\": {\n    \"c\": null\n  },\n  \
+             \"empty\": [],\n  \"eo\": {},\n  \"mixed\": [\n    [],\n    {},\n    [\n      []\n    ],\n    \
+             {\n      \"x\": [\n        true,\n        false\n      ]\n    },\n    \"s\",\n    -3,\n    \
+             0.5,\n    0,\n    100000000000000000000,\n    0.1\n  ],\n  \"nested\": [\n    [\n      1,\n      \
+             [\n        2,\n        {\n          \"d\": []\n        }\n      ]\n    ]\n  ]\n}"
+        );
+        assert_eq!(
+            from_str::<Value>(&to_string_pretty(&v).unwrap()).unwrap(),
+            v
+        );
+        assert_eq!(to_string(&Value::Array(Vec::new())).unwrap(), "[]");
+        assert_eq!(to_string_pretty(&Value::Object(Vec::new())).unwrap(), "{}");
+    }
+
+    #[test]
+    fn keys_and_strings_are_escaped() {
+        let v = Value::Object(vec![(
+            "a\"b\\c\n\r\t\u{1}é".to_string(),
+            Value::Str("x\u{1f}y/\u{7f}".into()),
+        )]);
+        assert_eq!(
+            to_string(&v).unwrap(),
+            "{\"a\\\"b\\\\c\\n\\r\\t\\u0001é\":\"x\\u001fy/\u{7f}\"}"
+        );
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\\\"b\\\\c\\n\\r\\t\\u0001é\": \"x\\u001fy/\u{7f}\"\n}"
+        );
+        assert_eq!(from_str::<Value>(&to_string(&v).unwrap()).unwrap(), v);
     }
 
     #[test]
