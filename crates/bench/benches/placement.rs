@@ -4,7 +4,8 @@
 //! retained linear reference ([`best_fit_linear`]) on identically loaded
 //! clusters at 1k/10k/100k machines, for the request mix the Fig. 3
 //! simulation issues (unconstrained background tasks, windowed
-//! constraints, single-machine pins), plus a scaled Fig. 3 scenario run
+//! constraints, single-machine pins), place → release round trips on a
+//! loaded and on an all-empty fleet, plus a scaled Fig. 3 scenario run
 //! on the kernel. The `BENCH_PR4.json` acceptance target (indexed ≥ 5×
 //! linear at 100k machines) reads straight off the
 //! `placement/{indexed,linear}/100000` ids.
@@ -18,10 +19,9 @@ use ctlm_sched::scheduler::MainOnly;
 use ctlm_sched::{PendingTask, SchedCluster};
 use ctlm_trace::{AttrValue, ConstraintOp, Machine, TaskConstraint};
 
-/// A fleet with the attribute mix of the `matching` bench, partially
-/// loaded so the capacity buckets are spread (the steady-state regime —
-/// an all-empty fleet would leave one giant full-capacity bucket).
-fn loaded_cluster(n: usize) -> SchedCluster {
+/// An all-empty fleet with the attribute mix of the `matching` bench:
+/// every machine sits in the one full-capacity bucket.
+fn fresh_cluster(n: usize) -> SchedCluster {
     let mut ms = Vec::with_capacity(n);
     for i in 0..n as u64 {
         let mut m = Machine::new(i, 1.0, 1.0);
@@ -30,7 +30,13 @@ fn loaded_cluster(n: usize) -> SchedCluster {
         m.set_attr(2, AttrValue::Str(format!("k{}", i % 7)));
         ms.push(m);
     }
-    let mut c = SchedCluster::from_machines(ms);
+    SchedCluster::from_machines(ms)
+}
+
+/// [`fresh_cluster`] partially loaded so the capacity buckets are
+/// spread (the steady-state regime).
+fn loaded_cluster(n: usize) -> SchedCluster {
+    let mut c = fresh_cluster(n);
     let mut task_id = 0u64;
     for i in 0..n as u64 {
         // Deterministic mixed load: ~2/3 of machines carry 1–3 tasks of
@@ -120,6 +126,21 @@ fn bench_placement(c: &mut Criterion) {
             })
         });
     }
+    // The same round trip on an all-empty fleet — the regime of a
+    // freshly built million-machine cell, where best-fit picks the
+    // lowest id out of the one bucket holding the whole fleet.
+    let n = 100_000usize;
+    group.bench_with_input(BenchmarkId::new("indexed_churn_fresh", n), &n, |b, _| {
+        let mut cluster = fresh_cluster(n);
+        let t = probe(vec![], 0.25);
+        b.iter(|| match best_fit(&cluster, &t) {
+            Placement::Placed(m) => {
+                cluster.place(m, u64::MAX, t.cpu, t.memory, t.priority);
+                assert!(cluster.release(m, u64::MAX));
+            }
+            other => panic!("empty cluster must fit 0.25: {other:?}"),
+        })
+    });
     group.finish();
 }
 

@@ -221,6 +221,14 @@ impl ExperimentSpec {
                 )));
             }
         }
+        if self.sim.cycle == 0 {
+            return Err(LabError::msg("`sim.cycle` must be > 0"));
+        }
+        for cell in self.cell_specs() {
+            if let WorkloadSpec::Synthetic(w) = &cell.workload {
+                w.validate(&cell.name)?;
+            }
+        }
         if self.execution.epoch_us == EpochSpec::Fixed(0) {
             return Err(LabError::msg(
                 "`execution.epoch_us` must be > 0 (or \"auto\")",
@@ -449,6 +457,58 @@ pub struct SyntheticWorkload {
     /// Optional restrictive (single-suitable-node, Group-0) tasks.
     #[serde(default)]
     pub restrictive: Option<RestrictiveSpec>,
+}
+
+impl SyntheticWorkload {
+    /// Rejects machine capacities, arrival gaps and request sizes the
+    /// samplers and the kernel cannot run: every size must be positive
+    /// and finite, every bounded-Pareto range `0 < lo < hi` with
+    /// `alpha > 0`.
+    fn validate(&self, cell: &str) -> Result<(), LabError> {
+        let err =
+            |what: &str, detail: String| LabError::msg(format!("cell {cell:?}: {what} {detail}"));
+        let positive = |what: &str, v: f64| {
+            if v > 0.0 && v.is_finite() {
+                Ok(())
+            } else {
+                Err(err(what, format!("must be positive and finite, got {v}")))
+            }
+        };
+        let pareto = |what: &str, lo: f64, hi: f64, alpha: f64| {
+            if !(lo > 0.0 && hi > lo && hi.is_finite()) {
+                Err(err(
+                    what,
+                    format!("needs 0 < lo < hi, got lo {lo}, hi {hi}"),
+                ))
+            } else if !(alpha > 0.0 && alpha.is_finite()) {
+                Err(err(what, format!("needs alpha > 0, got {alpha}")))
+            } else {
+                Ok(())
+            }
+        };
+        for g in &self.machines {
+            positive("machine cpu", g.cpu)?;
+            positive("machine memory", g.memory)?;
+        }
+        match &self.arrival {
+            ArrivalProcess::Uniform { .. } => {}
+            ArrivalProcess::Exponential { mean_gap } => {
+                if *mean_gap == 0 {
+                    return Err(err("Exponential arrival", "mean_gap must be > 0".into()));
+                }
+            }
+            ArrivalProcess::Pareto { lo, hi, alpha } => {
+                pareto("Pareto arrival", *lo, *hi, *alpha)?;
+            }
+        }
+        for (what, dist) in [("task cpu", &self.cpu), ("task memory", &self.memory)] {
+            match dist {
+                SizeDist::Fixed(v) => positive(what, *v)?,
+                SizeDist::Pareto { lo, hi, alpha } => pareto(what, *lo, *hi, *alpha)?,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A homogeneous group of machines.

@@ -82,3 +82,73 @@ fn explain_of_a_non_spans_file_exits_2() {
     let stderr = assert_one_line_failure(&run);
     assert!(stderr.contains("traceEvents"), "{stderr}");
 }
+
+/// Runs `SPEC` (with `main_only`) after replacing `from` by `to`, and
+/// asserts a one-line exit-2 rejection that mentions `needle`.
+fn assert_spec_rejected(name: &str, from: &str, to: &str, needle: &str) {
+    let text = SPEC.replace("SCHEDULER", "main_only");
+    assert!(text.contains(from), "template lacks {from:?}");
+    let spec = scratch(name, &text.replace(from, to));
+    let stderr = assert_one_line_failure(&ctlm_lab(&[spec.as_os_str()]));
+    assert!(stderr.contains(needle), "{stderr}");
+}
+
+#[test]
+fn zero_cycle_exits_2_instead_of_hanging() {
+    assert_spec_rejected(
+        "cycle0.json",
+        r#""cycle": 500000"#,
+        r#""cycle": 0"#,
+        "sim.cycle",
+    );
+}
+
+#[test]
+fn zero_exponential_mean_exits_2_instead_of_panicking() {
+    assert_spec_rejected(
+        "exp0.json",
+        r#"{"Uniform": {"gap": 30000}}"#,
+        r#"{"Exponential": {"mean_gap": 0}}"#,
+        "mean_gap",
+    );
+}
+
+#[test]
+fn malformed_pareto_exits_2() {
+    for (i, params) in [
+        r#""lo": 0.0, "hi": 10.0, "alpha": 1.5"#,
+        r#""lo": 5.0, "hi": 1.0, "alpha": 1.5"#,
+        r#""lo": 1.0, "hi": 10.0, "alpha": 0.0"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert_spec_rejected(
+            &format!("pareto{i}.json"),
+            r#"{"Uniform": {"gap": 30000}}"#,
+            &format!(r#"{{"Pareto": {{{params}}}}}"#),
+            "Pareto",
+        );
+    }
+}
+
+#[test]
+fn non_positive_fixed_size_exits_2() {
+    assert_spec_rejected(
+        "fixed_neg.json",
+        r#""tasks": 20,"#,
+        r#""tasks": 20, "cpu": {"Fixed": -1.0},"#,
+        "task cpu",
+    );
+}
+
+#[test]
+fn non_positive_machine_capacity_exits_2() {
+    assert_spec_rejected(
+        "mem_neg.json",
+        r#""memory": 1.0"#,
+        r#""memory": -1.0"#,
+        "machine memory",
+    );
+    assert_spec_rejected("cpu0.json", r#""cpu": 1.0"#, r#""cpu": 0.0"#, "machine cpu");
+}

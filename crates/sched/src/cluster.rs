@@ -7,12 +7,26 @@ use ctlm_data::compaction::AttrRequirement;
 use ctlm_trace::{Machine, MachineId, TaskId};
 
 /// A machine's live allocation state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct Alloc {
     cpu_used: f64,
     mem_used: f64,
-    /// Tasks placed here with their reservations and priority.
-    tasks: HashMap<TaskId, (f64, f64, u8)>,
+    /// Tasks placed here as `(task, cpu, memory, priority)`, in no
+    /// particular order (release swap-removes; readers sort).
+    tasks: Vec<(TaskId, f64, f64, u8)>,
+}
+
+/// One entry of the id-ordered slot table. A machine keeps its slot
+/// for life: draining parks it, decommissioning leaves the slot `Gone`,
+/// and a re-add under the same id moves back in.
+#[derive(Clone, Debug)]
+enum Slot {
+    Online(Machine, Alloc),
+    /// Drained by churn, kept so [`SchedCluster::reset`] can restore
+    /// the fleet without a deep copy of the whole cluster.
+    Parked(Machine),
+    /// Taken out for good by [`SchedCluster::take_offline`].
+    Gone,
 }
 
 /// Free-CPU quantization: capacity buckets of 1/1024 core. Best-fit
@@ -24,42 +38,130 @@ pub fn capacity_bucket(free_cpu: f64) -> usize {
     (free_cpu.max(0.0) * 1024.0) as usize
 }
 
-/// The maintained free-capacity ordering: machines bucketed by quantized
-/// free CPU ([`capacity_bucket`]), ids sorted ascending within a bucket,
-/// plus an occupancy bitmap so a query can skip empty buckets a word at
-/// a time. Best-fit resolves the tightest feasible machine by walking
-/// occupied buckets upward from the request size instead of scanning
-/// every suitable candidate; updates are O(bucket) with **zero heap
-/// allocations** once bucket capacities have warmed (the steady-state
-/// scheduling-pass guarantee).
+/// A set of slot numbers as a two-level bitset: one leaf bit per slot,
+/// one summary bit per non-empty leaf word, so a scan skips 4096 empty
+/// slots per summary word read. Sized lazily to the leaf word of the
+/// highest slot ever inserted; insert and remove are O(1) and
+/// allocation-free once the set has grown to cover its slots.
+#[derive(Clone, Debug, Default)]
+struct SlotSet {
+    /// `ceil(L / 64)` summary words, then `L` leaf words. A boxed slice
+    /// plus `len` keeps the header as small as a `Vec`.
+    words: Box<[u64]>,
+    len: u32,
+}
+
+// A cell carries ~1k buckets (1/1024-core quantization), most of them
+// empty: a bucket's inline header stays no larger than a `Vec`.
+const _: () = assert!(std::mem::size_of::<SlotSet>() <= std::mem::size_of::<Vec<MachineId>>());
+
+impl SlotSet {
+    /// Summary words in front of the leaves. `L` leaves need
+    /// `ceil(L / 64)` summaries, so a total of `T = L + ceil(L / 64)`
+    /// words holds exactly `ceil(T / 65)` of them.
+    fn summary_len(&self) -> usize {
+        self.words.len().div_ceil(65)
+    }
+
+    /// Adds `slot`, growing to cover it (doubling, but never past
+    /// `limit` slots unless `slot` itself lies beyond).
+    fn insert(&mut self, slot: usize, limit: usize) {
+        let word = slot / 64;
+        let leaves = self.words.len() - self.summary_len();
+        if word >= leaves {
+            self.grow((2 * leaves).clamp(word + 1, limit.div_ceil(64).max(word + 1)));
+        }
+        let leaf = &mut self.words[self.summary_len() + word];
+        debug_assert_eq!(*leaf & (1 << (slot % 64)), 0, "slot already set");
+        *leaf |= 1 << (slot % 64);
+        self.words[word / 64] |= 1 << (word % 64);
+        self.len += 1;
+    }
+
+    /// Removes `slot`; returns true when the set became empty.
+    fn remove(&mut self, slot: usize) -> bool {
+        let word = slot / 64;
+        let leaf = &mut self.words[self.summary_len() + word];
+        debug_assert_ne!(*leaf & (1 << (slot % 64)), 0, "slot indexed in bucket");
+        *leaf &= !(1 << (slot % 64));
+        if *leaf == 0 {
+            self.words[word / 64] &= !(1 << (word % 64));
+        }
+        self.len -= 1;
+        self.len == 0
+    }
+
+    fn grow(&mut self, leaves: usize) {
+        let (summary, old) = self.words.split_at(self.summary_len());
+        let s = leaves.div_ceil(64);
+        let mut words = vec![0u64; s + leaves];
+        words[..summary.len()].copy_from_slice(summary);
+        words[s..s + old.len()].copy_from_slice(old);
+        self.words = words.into_boxed_slice();
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// The set's slots in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (summary, leaves) = self.words.split_at(self.summary_len());
+        summary.iter().enumerate().flat_map(move |(b, &s)| {
+            Bits(s).flat_map(move |j| {
+                let word = b * 64 + j;
+                Bits(leaves[word]).map(move |k| word * 64 + k)
+            })
+        })
+    }
+}
+
+/// The set bits of a word, lowest first.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
+
+/// The maintained free-capacity ordering: online machines' slots
+/// bucketed by quantized free CPU ([`capacity_bucket`]), each bucket a
+/// [`SlotSet`], plus an occupancy bitmap so a query can skip empty
+/// buckets a word at a time. Slots are id-ordered, so a bucket's slots
+/// ascend by machine id. Best-fit resolves the tightest feasible machine
+/// by walking occupied buckets upward from the request size instead of
+/// scanning every suitable candidate; a place or release flips two bits,
+/// with **zero heap allocations** once buckets have grown to the fleet
+/// (the steady-state scheduling-pass guarantee).
 #[derive(Clone, Debug, Default)]
 struct CapacityIndex {
-    buckets: Vec<Vec<MachineId>>,
+    buckets: Vec<SlotSet>,
     /// One bit per bucket: set when the bucket is non-empty.
     occupied: Vec<u64>,
 }
 
 impl CapacityIndex {
-    fn ensure(&mut self, bucket: usize) {
+    /// Adds `slot` to `bucket`; `slots` is the slot table's length.
+    fn insert(&mut self, bucket: usize, slot: usize, slots: usize) {
         if bucket >= self.buckets.len() {
-            self.buckets.resize_with(bucket + 1, Vec::new);
+            self.buckets.resize_with(bucket + 1, SlotSet::default);
             self.occupied.resize(self.buckets.len().div_ceil(64), 0);
         }
-    }
-
-    fn insert(&mut self, bucket: usize, id: MachineId) {
-        self.ensure(bucket);
-        let b = &mut self.buckets[bucket];
-        let pos = b.binary_search(&id).unwrap_err();
-        b.insert(pos, id);
+        self.buckets[bucket].insert(slot, slots);
         self.occupied[bucket / 64] |= 1u64 << (bucket % 64);
     }
 
-    fn remove(&mut self, bucket: usize, id: MachineId) {
-        let b = &mut self.buckets[bucket];
-        let pos = b.binary_search(&id).expect("machine indexed in bucket");
-        b.remove(pos);
-        if b.is_empty() {
+    fn remove(&mut self, bucket: usize, slot: usize) {
+        if self.buckets[bucket].remove(slot) {
             self.occupied[bucket / 64] &= !(1u64 << (bucket % 64));
         }
     }
@@ -83,9 +185,12 @@ impl CapacityIndex {
         }
     }
 
+    /// Empties every bucket, keeping their storage.
     fn clear(&mut self) {
         for b in &mut self.buckets {
-            b.clear();
+            if b.len > 0 {
+                b.clear();
+            }
         }
         self.occupied.fill(0);
     }
@@ -108,20 +213,25 @@ pub enum CapacityFit {
 /// the cluster size, and a bucketed capacity index keeps machines ordered by
 /// free capacity so best-fit resolves without scanning every suitable
 /// candidate (the Fig. 3 simulation at 100k+ machines).
+///
+/// Machines live in a dense slot table ordered by id: `ids[s]` is slot
+/// `s`'s machine, `slot_of` maps back. Every machine ever added keeps its
+/// slot, so the capacity index can hold slot numbers in bitsets.
 #[derive(Clone, Debug, Default)]
 pub struct SchedCluster {
-    machines: HashMap<MachineId, (Machine, Alloc)>,
+    /// Machine id per slot, strictly ascending.
+    ids: Vec<MachineId>,
+    slot_of: HashMap<MachineId, u32>,
+    slots: Vec<Slot>,
+    /// Number of `Online` slots.
+    online: usize,
     index: AttrIndex,
     cap: CapacityIndex,
-    /// Machines drained by churn — kept so [`SchedCluster::reset`] can
-    /// restore the fleet without a deep copy of the whole cluster.
-    offline: HashMap<MachineId, Machine>,
     /// Fleet-wide CPU capacity / usage, maintained incrementally so
     /// [`SchedCluster::cpu_utilisation`] is O(1) **and deterministic**:
-    /// folding per-machine floats over the `HashMap` would sum in
-    /// per-instance random iteration order, and float addition is not
-    /// associative — near-tied load comparisons (the least-loaded
-    /// spillover router) would flip between otherwise identical runs.
+    /// the totals are a pure function of the operation history, and near-
+    /// tied load comparisons (the least-loaded spillover router) never
+    /// depend on a fold order.
     cpu_capacity_total: f64,
     cpu_used_total: f64,
 }
@@ -132,61 +242,101 @@ impl SchedCluster {
         Self::default()
     }
 
-    /// Builds from a machine list.
+    /// Builds from a machine list (any order; a repeated id supersedes
+    /// the earlier entry, as [`SchedCluster::add_machine`] does).
     pub fn from_machines(machines: impl IntoIterator<Item = Machine>) -> Self {
+        let mut machines: Vec<Machine> = machines.into_iter().collect();
+        machines.sort_by_key(|m| m.id);
         let mut c = Self::new();
+        c.ids.reserve(machines.len());
+        c.slots.reserve(machines.len());
+        c.slot_of.reserve(machines.len());
         for m in machines {
             c.add_machine(m);
         }
         c
     }
 
-    /// Adds a machine.
+    /// The slot of an online machine, with its state.
+    fn online_slot(&self, id: MachineId) -> Option<(usize, &Machine, &Alloc)> {
+        let s = *self.slot_of.get(&id)? as usize;
+        match &self.slots[s] {
+            Slot::Online(m, a) => Some((s, m, a)),
+            _ => None,
+        }
+    }
+
+    /// The slot for `id`, appending (or, for an id below the current
+    /// maximum, inserting and renumbering) a `Gone` slot when new.
+    fn slot_for(&mut self, id: MachineId) -> usize {
+        if let Some(&s) = self.slot_of.get(&id) {
+            return s as usize;
+        }
+        assert!(
+            self.ids.len() < u32::MAX as usize,
+            "slot numbers fit in u32"
+        );
+        if self.ids.last().is_none_or(|&last| last < id) {
+            let s = self.ids.len();
+            self.ids.push(id);
+            self.slots.push(Slot::Gone);
+            self.slot_of.insert(id, s as u32);
+            return s;
+        }
+        // A new id below the maximum: every later slot shifts up by one,
+        // so the bitsets are rebuilt. Rare (fleets are built id-sorted
+        // and joiners carry fresh, higher ids).
+        let pos = self.ids.partition_point(|&x| x < id);
+        self.ids.insert(pos, id);
+        self.slots.insert(pos, Slot::Gone);
+        for (s, &m) in self.ids.iter().enumerate().skip(pos) {
+            self.slot_of.insert(m, s as u32);
+        }
+        self.cap.clear();
+        let n = self.slots.len();
+        for (s, slot) in self.slots.iter().enumerate() {
+            if let Slot::Online(m, a) = slot {
+                self.cap.insert(capacity_bucket(m.cpu - a.cpu_used), s, n);
+            }
+        }
+        pos
+    }
+
+    /// Adds a machine. A re-add under a known id supersedes the online
+    /// or parked copy (and drops any load the online copy carried).
     pub fn add_machine(&mut self, m: Machine) {
-        // A re-add under the same id supersedes any parked copy — without
-        // this, a later restore/reset would overwrite the live machine
-        // (and its allocation accounting) with the stale one.
-        self.offline.remove(&m.id);
-        if let Some((old, alloc)) = self.machines.get(&m.id) {
+        let s = self.slot_for(m.id);
+        if let Slot::Online(old, a) = &self.slots[s] {
             self.index.remove_machine(m.id);
-            self.cap
-                .remove(capacity_bucket(old.cpu - alloc.cpu_used), m.id);
+            self.cap.remove(capacity_bucket(old.cpu - a.cpu_used), s);
             self.cpu_capacity_total -= old.cpu;
-            self.cpu_used_total -= alloc.cpu_used;
+            self.cpu_used_total -= a.cpu_used;
+        } else {
+            self.online += 1;
         }
         self.index.add_machine(&m);
-        self.cap.insert(capacity_bucket(m.cpu), m.id);
+        self.cap.insert(capacity_bucket(m.cpu), s, self.slots.len());
         self.cpu_capacity_total += m.cpu;
-        self.machines.insert(
-            m.id,
-            (
-                m,
-                Alloc {
-                    cpu_used: 0.0,
-                    mem_used: 0.0,
-                    tasks: HashMap::new(),
-                },
-            ),
-        );
+        self.slots[s] = Slot::Online(m, Alloc::default());
     }
 
     /// Takes a machine offline (churn / failure). The machine's running
-    /// tasks are returned as `(task, cpu, memory, priority)` so the
-    /// engine can requeue them; the machine itself is parked for
-    /// [`SchedCluster::reset`] to restore. Returns `None` for unknown
-    /// machines.
+    /// tasks are returned as `(task, cpu, memory, priority)`, sorted by
+    /// task id, so the engine can requeue them; the machine itself is
+    /// parked for [`SchedCluster::reset`] to restore. Returns `None` for
+    /// machines not online.
     pub fn remove_machine(&mut self, id: MachineId) -> Option<Vec<(TaskId, f64, f64, u8)>> {
-        let (m, alloc) = self.machines.remove(&id)?;
+        let (s, ..) = self.online_slot(id)?;
+        let Slot::Online(m, alloc) = std::mem::replace(&mut self.slots[s], Slot::Gone) else {
+            unreachable!("online slot");
+        };
         self.index.remove_machine(id);
-        self.cap.remove(capacity_bucket(m.cpu - alloc.cpu_used), id);
+        self.cap.remove(capacity_bucket(m.cpu - alloc.cpu_used), s);
         self.cpu_capacity_total -= m.cpu;
         self.cpu_used_total -= alloc.cpu_used;
-        self.offline.insert(id, m);
-        let mut evicted: Vec<(TaskId, f64, f64, u8)> = alloc
-            .tasks
-            .into_iter()
-            .map(|(t, (c, mem, p))| (t, c, mem, p))
-            .collect();
+        self.online -= 1;
+        self.slots[s] = Slot::Parked(m);
+        let mut evicted = alloc.tasks;
         evicted.sort_by_key(|&(t, ..)| t);
         Some(evicted)
     }
@@ -199,7 +349,14 @@ impl SchedCluster {
     /// restored by [`SchedCluster::reset`]. Returns `None` when the
     /// machine is not parked.
     pub fn take_offline(&mut self, id: MachineId) -> Option<Machine> {
-        self.offline.remove(&id)
+        let s = *self.slot_of.get(&id)? as usize;
+        match std::mem::replace(&mut self.slots[s], Slot::Gone) {
+            Slot::Parked(m) => Some(m),
+            other => {
+                self.slots[s] = other;
+                None
+            }
+        }
     }
 
     /// Online machine ids ordered by free CPU, emptiest first
@@ -210,14 +367,14 @@ impl SchedCluster {
     pub fn machines_by_free_cpu_desc(&self, out: &mut Vec<MachineId>) {
         out.clear();
         for b in self.cap.buckets.iter().rev() {
-            out.extend_from_slice(b);
+            out.extend(b.iter().map(|s| self.ids[s]));
         }
     }
 
     /// Brings a previously drained machine back online (with no load).
-    /// Returns true if it was offline.
+    /// Returns true if it was parked.
     pub fn restore_machine(&mut self, id: MachineId) -> bool {
-        match self.offline.remove(&id) {
+        match self.take_offline(id) {
             Some(m) => {
                 self.add_machine(m);
                 true
@@ -237,13 +394,16 @@ impl SchedCluster {
         attr: ctlm_trace::AttrId,
         value: Option<ctlm_trace::AttrValue>,
     ) -> bool {
-        let m = if let Some((m, _)) = self.machines.get_mut(&id) {
-            self.index.update_attr(id, attr, value.as_ref());
-            m
-        } else if let Some(m) = self.offline.get_mut(&id) {
-            m // parked: no index entry to maintain
-        } else {
+        let Some(&s) = self.slot_of.get(&id) else {
             return false;
+        };
+        let m = match &mut self.slots[s as usize] {
+            Slot::Online(m, _) => {
+                self.index.update_attr(id, attr, value.as_ref());
+                m
+            }
+            Slot::Parked(m) => m, // parked: no index entry to maintain
+            Slot::Gone => return false,
         };
         match value {
             Some(v) => {
@@ -258,44 +418,51 @@ impl SchedCluster {
 
     /// Returns the cluster to its pristine state: every reservation is
     /// dropped and every churned machine rejoins. This is the cheap
-    /// alternative to deep-copying the cluster per policy run — O(live
-    /// tasks + churned machines) instead of O(fleet).
+    /// alternative to deep-copying the cluster per policy run: one pass
+    /// over the slot table, no reallocation.
     pub fn reset(&mut self) {
         self.cap.clear();
         self.cpu_used_total = 0.0;
-        for (m, a) in self.machines.values_mut() {
-            a.cpu_used = 0.0;
-            a.mem_used = 0.0;
-            a.tasks.clear();
-            self.cap.insert(capacity_bucket(m.cpu), m.id);
-        }
-        if !self.offline.is_empty() {
-            let offline = std::mem::take(&mut self.offline);
-            for (_, m) in offline {
-                self.add_machine(m);
+        let n = self.slots.len();
+        for s in 0..n {
+            match &mut self.slots[s] {
+                Slot::Online(m, a) => {
+                    a.cpu_used = 0.0;
+                    a.mem_used = 0.0;
+                    a.tasks.clear();
+                    self.cap.insert(capacity_bucket(m.cpu), s, n);
+                }
+                Slot::Parked(_) => {
+                    self.restore_machine(self.ids[s]);
+                }
+                Slot::Gone => {}
             }
         }
     }
 
-    /// Number of machines.
+    /// Number of online machines.
     pub fn len(&self) -> usize {
-        self.machines.len()
+        self.online
     }
 
-    /// True when the cluster has no machines.
+    /// True when the cluster has no online machines.
     pub fn is_empty(&self) -> bool {
-        self.machines.is_empty()
+        self.online == 0
     }
 
-    /// Free CPU on a machine.
+    fn expect_online(&self, id: MachineId) -> (usize, &Machine, &Alloc) {
+        self.online_slot(id).expect("machine is online")
+    }
+
+    /// Free CPU on an online machine.
     pub fn free_cpu(&self, id: MachineId) -> f64 {
-        let (m, a) = &self.machines[&id];
+        let (_, m, a) = self.expect_online(id);
         m.cpu - a.cpu_used
     }
 
-    /// Free memory on a machine.
+    /// Free memory on an online machine.
     pub fn free_mem(&self, id: MachineId) -> f64 {
-        let (m, a) = &self.machines[&id];
+        let (_, m, a) = self.expect_online(id);
         m.memory - a.mem_used
     }
 
@@ -324,9 +491,10 @@ impl SchedCluster {
         self.index.matching_visit(reqs, f)
     }
 
-    /// True when the machine can hold the request right now.
+    /// True when the online machine can hold the request right now.
     pub fn fits(&self, id: MachineId, cpu: f64, mem: f64) -> bool {
-        self.free_cpu(id) >= cpu && self.free_mem(id) >= mem
+        let (_, m, a) = self.expect_online(id);
+        alloc_fits(m, a, cpu, mem)
     }
 
     /// Candidate-driven queries win when the constraint set is selective
@@ -347,23 +515,26 @@ impl SchedCluster {
     /// the choice never changes the answer (property-tested against the
     /// retained linear scan in `tests/placement_equivalence.rs`).
     pub fn tightest_fit(&self, reqs: &[AttrRequirement], cpu: f64, mem: f64) -> CapacityFit {
-        if self.machines.is_empty() {
+        if self.online == 0 {
             return CapacityFit::Infeasible;
         }
         if !reqs.is_empty() {
             let hint = self.index.selectivity_hint(reqs);
-            if hint * Self::CANDIDATE_DRIVEN_SHARE <= self.machines.len() {
+            if hint * Self::CANDIDATE_DRIVEN_SHARE <= self.online {
                 return self.tightest_fit_candidates(reqs, cpu, mem);
             }
         }
         // Capacity-driven: first occupied bucket at or above the request
-        // holds the tightest candidates; ids ascend within a bucket, so
-        // the first hit is the argmin.
+        // holds the tightest candidates; slots (hence ids) ascend within
+        // a bucket, so the first hit is the argmin.
         let mut from = capacity_bucket(cpu);
         while let Some(b) = self.cap.next_occupied(from) {
-            for &id in &self.cap.buckets[b] {
-                if self.fits(id, cpu, mem) && self.index.matches(id, reqs) {
-                    return CapacityFit::Fit(id);
+            for s in self.cap.buckets[b].iter() {
+                let Slot::Online(m, a) = &self.slots[s] else {
+                    unreachable!("capacity index holds online slots only");
+                };
+                if alloc_fits(m, a, cpu, mem) && self.index.matches(m.id, reqs) {
+                    return CapacityFit::Fit(m.id);
                 }
             }
             from = b + 1;
@@ -382,9 +553,9 @@ impl SchedCluster {
     /// into placement decision records.
     pub fn candidate_estimate(&self, reqs: &[AttrRequirement]) -> usize {
         if reqs.is_empty() {
-            self.machines.len()
+            self.online
         } else {
-            self.index.selectivity_hint(reqs).min(self.machines.len())
+            self.index.selectivity_hint(reqs).min(self.online)
         }
     }
 
@@ -393,8 +564,7 @@ impl SchedCluster {
     /// placement decision audits.
     pub fn plan_hint(&self, reqs: &[AttrRequirement]) -> &'static str {
         if !reqs.is_empty()
-            && self.index.selectivity_hint(reqs) * Self::CANDIDATE_DRIVEN_SHARE
-                <= self.machines.len()
+            && self.index.selectivity_hint(reqs) * Self::CANDIDATE_DRIVEN_SHARE <= self.online
         {
             "candidate_driven"
         } else {
@@ -408,8 +578,9 @@ impl SchedCluster {
         let mut suitable_any = false;
         self.index.matching_visit(reqs, |id| {
             suitable_any = true;
-            if self.fits(id, cpu, mem) {
-                let key = (capacity_bucket(self.free_cpu(id)), id);
+            let (_, m, a) = self.expect_online(id);
+            if alloc_fits(m, a, cpu, mem) {
+                let key = (capacity_bucket(m.cpu - a.cpu_used), id);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
                 }
@@ -423,42 +594,53 @@ impl SchedCluster {
         }
     }
 
+    /// The online slot of `id` and its state, mutably.
+    fn online_slot_mut(&mut self, id: MachineId) -> Option<(usize, &mut Machine, &mut Alloc)> {
+        let s = *self.slot_of.get(&id)? as usize;
+        match &mut self.slots[s] {
+            Slot::Online(m, a) => Some((s, m, a)),
+            _ => None,
+        }
+    }
+
     /// Reserves capacity for a task.
     ///
     /// # Panics
     /// Panics if the reservation does not fit (callers check `fits`).
     pub fn place(&mut self, id: MachineId, task: TaskId, cpu: f64, mem: f64, priority: u8) {
-        assert!(self.fits(id, cpu, mem), "placement must fit");
-        let (m, a) = self.machines.get_mut(&id).expect("machine exists");
+        let (s, m, a) = self.online_slot_mut(id).expect("machine is online");
+        assert!(alloc_fits(m, a, cpu, mem), "placement must fit");
         let old = capacity_bucket(m.cpu - a.cpu_used);
         a.cpu_used += cpu;
         a.mem_used += mem;
         let new = capacity_bucket(m.cpu - a.cpu_used);
-        a.tasks.insert(task, (cpu, mem, priority));
+        a.tasks.push((task, cpu, mem, priority));
         if old != new {
-            self.cap.remove(old, id);
-            self.cap.insert(new, id);
+            self.cap.remove(old, s);
+            self.cap.insert(new, s, self.slots.len());
         }
         self.cpu_used_total += cpu;
     }
 
     /// Releases a task's reservation. Returns true if it was present.
     pub fn release(&mut self, id: MachineId, task: TaskId) -> bool {
-        if let Some((m, a)) = self.machines.get_mut(&id) {
-            if let Some((cpu, mem, _)) = a.tasks.remove(&task) {
-                let old = capacity_bucket(m.cpu - a.cpu_used);
-                a.cpu_used -= cpu;
-                a.mem_used -= mem;
-                let new = capacity_bucket(m.cpu - a.cpu_used);
-                if old != new {
-                    self.cap.remove(old, id);
-                    self.cap.insert(new, id);
-                }
-                self.cpu_used_total -= cpu;
-                return true;
-            }
+        let Some((s, m, a)) = self.online_slot_mut(id) else {
+            return false;
+        };
+        let Some(pos) = a.tasks.iter().position(|&(t, ..)| t == task) else {
+            return false;
+        };
+        let (_, cpu, mem, _) = a.tasks.swap_remove(pos);
+        let old = capacity_bucket(m.cpu - a.cpu_used);
+        a.cpu_used -= cpu;
+        a.mem_used -= mem;
+        let new = capacity_bucket(m.cpu - a.cpu_used);
+        if old != new {
+            self.cap.remove(old, s);
+            self.cap.insert(new, s, self.slots.len());
         }
-        false
+        self.cpu_used_total -= cpu;
+        true
     }
 
     /// Tasks on a machine with priority strictly below `priority`, sorted
@@ -482,30 +664,24 @@ impl SchedCluster {
         out: &mut Vec<(TaskId, f64, f64, u8)>,
     ) {
         out.clear();
-        let (_, a) = &self.machines[&id];
-        out.extend(
-            a.tasks
-                .iter()
-                .filter(|(_, (_, _, p))| *p < priority)
-                .map(|(&t, &(c, m, p))| (t, c, m, p)),
-        );
+        let (_, _, a) = self.expect_online(id);
+        out.extend(a.tasks.iter().filter(|&&(.., p)| p < priority));
         out.sort_by_key(|&(t, _, _, p)| (p, t));
     }
 
     /// One machine's attribute value (soft-affinity scoring needs direct
-    /// attribute access).
+    /// attribute access). `None` for machines not online.
     pub fn machine_attr(
         &self,
         id: MachineId,
         attr: ctlm_trace::AttrId,
     ) -> Option<&ctlm_trace::AttrValue> {
-        self.machines.get(&id).and_then(|(m, _)| m.attr(attr))
+        self.online_slot(id).and_then(|(_, m, _)| m.attr(attr))
     }
 
     /// Total CPU utilisation across the cluster (0..1) — answered from
     /// the incrementally maintained fleet totals: O(1), and a pure
-    /// function of the operation history (a `HashMap` fold would sum in
-    /// per-instance random order, whose float rounding is not).
+    /// function of the operation history.
     pub fn cpu_utilisation(&self) -> f64 {
         if self.cpu_capacity_total == 0.0 {
             0.0
@@ -513,6 +689,11 @@ impl SchedCluster {
             (self.cpu_used_total / self.cpu_capacity_total).max(0.0)
         }
     }
+}
+
+/// True when `m` under allocation `a` has room for the request.
+fn alloc_fits(m: &Machine, a: &Alloc, cpu: f64, mem: f64) -> bool {
+    m.cpu - a.cpu_used >= cpu && m.memory - a.mem_used >= mem
 }
 
 #[cfg(test)]
@@ -702,5 +883,98 @@ mod tests {
         }));
         seen.sort_unstable();
         assert_eq!(seen, c.suitable(&reqs));
+    }
+
+    #[test]
+    fn out_of_order_adds_still_tie_break_by_lowest_id() {
+        let built = SchedCluster::from_machines([5u64, 1, 3].map(|i| Machine::new(i, 1.0, 1.0)));
+        let mut added = SchedCluster::new();
+        for i in [5u64, 1, 3] {
+            // 1 and 3 land below the maximum: the slot table renumbers.
+            added.add_machine(Machine::new(i, 1.0, 1.0));
+        }
+        for mut c in [built, added] {
+            assert_eq!(c.ids, vec![1, 3, 5]);
+            assert_eq!(c.tightest_fit(&[], 0.2, 0.2), CapacityFit::Fit(1));
+            c.place(5, 10, 0.5, 0.5, 1);
+            c.place(3, 11, 0.5, 0.5, 1);
+            assert_eq!(c.tightest_fit(&[], 0.2, 0.2), CapacityFit::Fit(3));
+            // A mid-run add of a lower id keeps the loaded machines' buckets.
+            c.add_machine(Machine::new(0, 1.0, 1.0));
+            assert_eq!(c.tightest_fit(&[], 0.2, 0.2), CapacityFit::Fit(3));
+            assert_eq!(c.tightest_fit(&[], 0.6, 0.6), CapacityFit::Fit(0));
+            let mut out = Vec::new();
+            c.machines_by_free_cpu_desc(&mut out);
+            assert_eq!(out, vec![0, 1, 3, 5]);
+            assert!(c.release(5, 10));
+            assert_eq!(c.free_cpu(5), 1.0);
+        }
+    }
+
+    #[test]
+    fn slot_set_scans_across_word_and_block_boundaries() {
+        let slots = [0usize, 63, 64, 127, 4095, 4096, 4097, 8191, 12_288];
+        let mut set = SlotSet::default();
+        for &s in slots.iter().rev() {
+            set.insert(s, 0);
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), slots);
+        assert_eq!(set.summary_len(), 4);
+        assert_eq!(
+            set.words.len() - 4,
+            12_288 / 64 + 1,
+            "sized to the highest slot's word"
+        );
+        for &s in &[63usize, 4096] {
+            assert!(!set.remove(s));
+        }
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [0, 64, 127, 4095, 4097, 8191, 12_288]
+        );
+        for &s in &[0usize, 64, 127, 4095, 4097, 8191] {
+            assert!(!set.remove(s));
+        }
+        assert!(set.remove(12_288), "last removal empties the set");
+        assert_eq!(set.iter().next(), None);
+        assert!(set.words.iter().all(|&w| w == 0), "summaries cleared too");
+        // Ascending inserts grow the set many times, moving the leaves
+        // whenever the summary gains a word.
+        let mut grown = SlotSet::default();
+        let want: Vec<usize> = (0..20_000).step_by(61).collect();
+        for &s in &want {
+            grown.insert(s, 0);
+        }
+        assert_eq!(grown.iter().collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn take_offline_then_re_add_reuses_the_slot() {
+        let mut c = cluster3();
+        c.remove_machine(1);
+        c.take_offline(1).expect("parked");
+        assert_eq!(c.tightest_fit(&[], 0.2, 0.2), CapacityFit::Fit(0));
+        c.add_machine(Machine::new(1, 1.0, 1.0));
+        assert_eq!(c.ids, vec![0, 1, 2], "no second slot for a known id");
+        assert_eq!(c.len(), 3);
+        c.place(0, 10, 0.5, 0.5, 1);
+        assert_eq!(c.tightest_fit(&[], 0.6, 0.6), CapacityFit::Fit(1));
+    }
+
+    #[test]
+    fn reset_restores_parked_machines() {
+        let mut c = cluster3();
+        c.place(0, 10, 0.5, 0.5, 1);
+        assert_eq!(c.remove_machine(0), Some(vec![(10, 0.5, 0.5, 1)]));
+        c.remove_machine(2);
+        assert_eq!(c.len(), 1);
+        c.reset();
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.cpu_utilisation(), 0.0);
+        assert_eq!(c.free_cpu(0), 1.0);
+        assert_eq!(c.tightest_fit(&[], 1.0, 1.0), CapacityFit::Fit(0));
+        let mut out = Vec::new();
+        c.machines_by_free_cpu_desc(&mut out);
+        assert_eq!(out, vec![0, 1, 2]);
     }
 }

@@ -69,6 +69,42 @@ fn fleet(n: usize) -> SchedCluster {
     SchedCluster::from_machines(ms)
 }
 
+/// A fleet over `n` sparse, shuffled ids: half small, half at or above
+/// `1 << 48` (the autoscaler's joiner range), listed in a seeded random
+/// order so the slot table sorts them itself. Returns the ids too.
+fn sparse_fleet(n: usize, shuffle: u64) -> (SchedCluster, Vec<MachineId>) {
+    let mut ids: Vec<MachineId> = (0..n as u64)
+        .map(|i| {
+            if i % 2 == 0 {
+                1000 + 7 * i
+            } else {
+                (1 << 48) + 13 * i
+            }
+        })
+        .collect();
+    let mut state = shuffle | 1;
+    for i in (1..ids.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ids.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let ms = ids
+        .iter()
+        .enumerate()
+        .map(|(k, &id)| sparse_machine(id, k as i64));
+    (SchedCluster::from_machines(ms), ids)
+}
+
+fn sparse_machine(id: MachineId, value: i64) -> Machine {
+    let mut m = Machine::new(id, 1.0, 1.0);
+    m.set_attr(0, AttrValue::Int(value));
+    if value % 3 == 0 {
+        m.set_attr(1, AttrValue::Int(1));
+    }
+    m
+}
+
 fn probe(reqs: &[TaskConstraint], cpu: f64, mem: f64) -> PendingTask {
     PendingTask {
         id: u64::MAX,
@@ -153,6 +189,72 @@ proptest! {
         }
         // And after a reset, the rebuilt index still agrees.
         cluster.reset();
+        for (reqs, cpu) in &probes {
+            let t = probe(reqs, *cpu as f64 / 8.0, *cpu as f64 / 8.0);
+            assert_equivalent(&cluster, &t);
+        }
+    }
+
+    /// Slot order is id order whatever order machines arrive in: a
+    /// fleet of shuffled sparse ids (some above `1 << 48`), with new ids
+    /// landing below the maximum mid-run (the slot table renumbers),
+    /// still agrees with the linear scan under churn.
+    #[test]
+    fn shuffled_sparse_ids_track_linear_reference_under_churn(
+        machines in 2usize..24,
+        shuffle in 0u64..u64::MAX,
+        ops in prop::collection::vec(arb_op(), 0..60),
+        late_adds in (0usize..60, 0usize..60),
+        probes in prop::collection::vec((arb_reqs(), 1u32..8), 1..6),
+    ) {
+        let (mut cluster, mut ids) = sparse_fleet(machines, shuffle);
+        let mut live: Vec<(u64, MachineId)> = Vec::new();
+        let mut drained: Vec<MachineId> = Vec::new();
+        let mut next_task = 0u64;
+        for (step, op) in ops.into_iter().enumerate() {
+            // Below every id, then between the small and the large ids.
+            for (at, id, value) in [(late_adds.0, 3, 2), (late_adds.1, 1 << 47, 7)] {
+                if step == at && !ids.contains(&id) {
+                    cluster.add_machine(sparse_machine(id, value));
+                    ids.push(id);
+                }
+            }
+            match op {
+                ChurnOp::Admit { cpu, mem, priority } => {
+                    let t = probe(&[], cpu, mem);
+                    if let Placement::Placed(m) = best_fit(&cluster, &t) {
+                        cluster.place(m, next_task, cpu, mem, priority);
+                        live.push((next_task, m));
+                        next_task += 1;
+                    }
+                }
+                ChurnOp::Complete(k) => {
+                    if !live.is_empty() {
+                        let (task, m) = live.remove(k % live.len());
+                        prop_assert!(cluster.release(m, task));
+                    }
+                }
+                ChurnOp::Drain(k) => {
+                    let id = ids[k % ids.len()];
+                    if cluster.remove_machine(id).is_some() {
+                        live.retain(|&(_, m)| m != id);
+                        drained.push(id);
+                    }
+                }
+                ChurnOp::Restore(k) => {
+                    if !drained.is_empty() {
+                        let id = drained.remove(k % drained.len());
+                        prop_assert!(cluster.restore_machine(id));
+                    }
+                }
+            }
+            for (reqs, cpu) in &probes {
+                let t = probe(reqs, *cpu as f64 / 8.0, *cpu as f64 / 8.0);
+                assert_equivalent(&cluster, &t);
+            }
+        }
+        cluster.reset();
+        prop_assert_eq!(cluster.len(), ids.len());
         for (reqs, cpu) in &probes {
             let t = probe(reqs, *cpu as f64 / 8.0, *cpu as f64 / 8.0);
             assert_equivalent(&cluster, &t);

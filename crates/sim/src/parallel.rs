@@ -88,6 +88,18 @@ impl<'a, E> CellKernel<'a, E> {
     pub fn shard_id(&self) -> usize {
         self.shard
     }
+
+    /// Runs the shard's events strictly before `bound`, timing the run
+    /// into `last_run_ns` when the coordinator is profiling.
+    fn run_round(&mut self, bound: Time, profile: bool) {
+        if profile {
+            let t0 = std::time::Instant::now();
+            self.sim.run_before(bound);
+            self.last_run_ns = t0.elapsed().as_nanos() as u64;
+        } else {
+            self.sim.run_before(bound);
+        }
+    }
 }
 
 impl<'a, E> std::ops::Deref for CellKernel<'a, E> {
@@ -336,38 +348,19 @@ impl<'a, E: Send> ParallelSim<'a, E> {
                 let chunk = self.shards.len().div_ceil(effective);
                 self.shards.par_chunks_mut(chunk).for_each(|shards| {
                     for shard in shards {
-                        if profile {
-                            let t0 = std::time::Instant::now();
-                            shard.sim.run_before(bound);
-                            shard.last_run_ns = t0.elapsed().as_nanos() as u64;
-                        } else {
-                            shard.sim.run_before(bound);
-                        }
+                        shard.run_round(bound, profile);
                     }
                 });
             } else {
                 match &self.exec_order {
                     Some(order) => {
                         for &i in order {
-                            let shard = &mut self.shards[i];
-                            if profile {
-                                let t0 = std::time::Instant::now();
-                                shard.sim.run_before(bound);
-                                shard.last_run_ns = t0.elapsed().as_nanos() as u64;
-                            } else {
-                                shard.sim.run_before(bound);
-                            }
+                            self.shards[i].run_round(bound, profile);
                         }
                     }
                     None => {
                         for shard in &mut self.shards {
-                            if profile {
-                                let t0 = std::time::Instant::now();
-                                shard.sim.run_before(bound);
-                                shard.last_run_ns = t0.elapsed().as_nanos() as u64;
-                            } else {
-                                shard.sim.run_before(bound);
-                            }
+                            shard.run_round(bound, profile);
                         }
                     }
                 }
